@@ -32,6 +32,7 @@ import (
 	"dragonvar/internal/core"
 	"dragonvar/internal/counters"
 	"dragonvar/internal/dataset"
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/modelstore"
 	"dragonvar/internal/monitor"
 	"dragonvar/internal/nn"
@@ -227,7 +228,7 @@ type Daemon struct {
 	fRef, dRef, aRef string
 
 	stream *dataset.StreamWriter
-	ck     *checkpoint
+	ck     *framelog.Log
 	p      progress
 
 	// cur is the serving forecaster of retrain p.Retrains (nil before
@@ -425,8 +426,8 @@ func (d *Daemon) runEpoch(ctx context.Context) error {
 
 	d.p.Epoch = e + 1
 	d.p.RunsBefore = d.stream.TotalRuns()
-	if err := d.ck.append(d.p); err != nil {
-		return err
+	if err := d.ck.Append(d.p); err != nil {
+		return fmt.Errorf("daemon: checkpoint: %w", err)
 	}
 	d.tm.epochs.Inc()
 	d.cfg.Logf("daemon: epoch %d done: %d runs total, %d segments sealed", e, d.p.RunsBefore, d.p.Sealed)
@@ -465,8 +466,8 @@ func (d *Daemon) onSeal(ctx context.Context, seg *dataset.Segment) error {
 			}
 		}
 	}
-	if err := d.ck.append(d.p); err != nil {
-		return err
+	if err := d.ck.Append(d.p); err != nil {
+		return fmt.Errorf("daemon: checkpoint: %w", err)
 	}
 	return d.maybeRetrain(ctx)
 }
@@ -583,8 +584,8 @@ func (d *Daemon) retrain(ctx context.Context, reason string) error {
 	if err := d.writePublishLog(); err != nil {
 		return err
 	}
-	if err := d.ck.append(d.p); err != nil {
-		return err
+	if err := d.ck.Append(d.p); err != nil {
+		return fmt.Errorf("daemon: checkpoint: %w", err)
 	}
 	d.cur = model
 	d.tm.retrains.Inc()
@@ -604,7 +605,10 @@ func (d *Daemon) writePublishLog() error {
 	if err != nil {
 		return fmt.Errorf("daemon: publish log: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(d.cfg.StateDir, "published.json"), append(data, '\n'))
+	if err := framelog.WriteFileAtomic(filepath.Join(d.cfg.StateDir, "published.json"), append(data, '\n')); err != nil {
+		return fmt.Errorf("daemon: publish log: %w", err)
+	}
+	return nil
 }
 
 // liveMAPE scores the serving forecaster on the windows of one freshly

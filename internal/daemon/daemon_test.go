@@ -3,8 +3,10 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -232,43 +234,56 @@ func TestDaemonIdentityRefused(t *testing.T) {
 }
 
 func TestCheckpointTornTailHealed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.gob")
-	ck, p, err := openCheckpoint(path, "digest-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Epoch != 0 || p.Sealed != 0 {
-		t.Fatalf("fresh checkpoint progress = %+v, want zero", p)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := ck.append(progress{Epoch: i, Sealed: i * 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ck.Close()
+	corruptLength := append(binary.AppendUvarint(nil, math.MaxUint64-2), 0, 0, 0, 0)
+	for _, tc := range []struct {
+		name   string
+		damage func(raw []byte) []byte
+		epoch  int // last record that survives the heal
+	}{
+		// The third record is lost, the second survives.
+		{"truncated", func(raw []byte) []byte { return raw[:len(raw)-2] }, 2},
+		// A frame whose length prefix is 2^64-3 follows the third record.
+		{"corrupt length", func(raw []byte) []byte { return append(raw, corruptLength...) }, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "checkpoint.gob")
+			ck, p, err := openCheckpoint(path, "digest-a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Epoch != 0 || p.Sealed != 0 {
+				t.Fatalf("fresh checkpoint progress = %+v, want zero", p)
+			}
+			for i := 1; i <= 3; i++ {
+				if err := ck.Append(progress{Epoch: i, Sealed: i * 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ck.Close()
 
-	// Tear the tail: the third record is lost, the second survives.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck, p, err = openCheckpoint(path, "digest-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Epoch != 2 || p.Sealed != 4 {
-		t.Fatalf("healed progress = %+v, want epoch 2 sealed 4", p)
-	}
-	// The heal rewrote a clean file: appends keep working.
-	if err := ck.append(progress{Epoch: 3, Sealed: 6}); err != nil {
-		t.Fatal(err)
-	}
-	ck.Close()
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ck, p, err = openCheckpoint(path, "digest-a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Epoch != tc.epoch || p.Sealed != 2*tc.epoch {
+				t.Fatalf("healed progress = %+v, want epoch %d sealed %d", p, tc.epoch, 2*tc.epoch)
+			}
+			// The heal rewrote a clean file: appends keep working.
+			if err := ck.Append(progress{Epoch: 3, Sealed: 6}); err != nil {
+				t.Fatal(err)
+			}
+			ck.Close()
 
-	if _, _, err := openCheckpoint(path, "digest-b"); err == nil {
-		t.Fatal("checkpoint opened under a different identity digest, want refusal")
+			if _, _, err := openCheckpoint(path, "digest-b"); err == nil {
+				t.Fatal("checkpoint opened under a different identity digest, want refusal")
+			}
+		})
 	}
 }

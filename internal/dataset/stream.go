@@ -2,17 +2,18 @@ package dataset
 
 // Streaming ingest: the daemon-mode alternative to one-shot campaign gob
 // caches. Runs arrive one at a time (in deterministic campaign order) and
-// are journaled to a CRC32C-framed write-ahead log; once a bounded window
-// fills, its runs are sealed into an individually-validated segment file
-// and the WAL is compacted down to the still-open window. Segments are a
-// pure function of the run sequence and the window parameters, so a
-// process killed between any two writes reseals byte-identical segments
-// on reopen — the property the daemon's kill/resume test pins down.
+// are journaled to a write-ahead log, an internal/framelog log; once a
+// bounded window fills, its runs are sealed into an individually-validated
+// segment file and the WAL is compacted down to the still-open window.
+// Segments are a pure function of the run sequence and the window
+// parameters, so a process killed between any two writes reseals
+// byte-identical segments on reopen — the property the daemon's
+// kill/resume test pins down.
 //
 // On-disk layout under the stream directory:
 //
 //	wal.gob               header frame + one frame per open-window run
-//	segments/seg-%06d.gob one CRC-framed gob frame per sealed window
+//	segments/seg-%06d.gob one frame per sealed window
 //
 // A segment whose checksum or encoding no longer verifies is quarantined
 // by renaming it to <name>.corrupt (mirroring modelstore) so a damaged
@@ -21,14 +22,12 @@ package dataset
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/telemetry"
 )
 
@@ -125,62 +124,10 @@ type StreamWriter struct {
 	meta   StreamMeta
 	digest string
 
-	wal     *os.File
+	wal     *framelog.Log
 	nextSeg int    // index of the next segment to seal
 	total   int64  // global count of runs ingested (sealed + open)
 	open    []*Run // the open window, in arrival order
-}
-
-// crcTable is the Castagnoli polynomial, matching internal/dist's
-// checkpoint framing (hardware-accelerated on amd64/arm64).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// appendFrame encodes v as gob and appends a length-prefixed, CRC32C-
-// guarded frame to buf: uvarint payload length, 4-byte little-endian
-// checksum, payload.
-func appendFrame(buf *bytes.Buffer, v any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return fmt.Errorf("dataset: stream frame encode: %w", err)
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(payload.Len()))
-	buf.Write(hdr[:n])
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), crcTable))
-	buf.Write(crc[:])
-	buf.Write(payload.Bytes())
-	return nil
-}
-
-// parseFrames splits raw into validated frame payloads. A damaged or
-// truncated tail (torn final write from a kill) terminates the scan;
-// valid is the byte length of the intact prefix.
-func parseFrames(raw []byte) (frames [][]byte, valid int) {
-	off := 0
-	for off < len(raw) {
-		length, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			return frames, off
-		}
-		start := off + n + 4
-		end := start + int(length)
-		if end > len(raw) || start > len(raw) {
-			return frames, off
-		}
-		want := binary.LittleEndian.Uint32(raw[off+n : start])
-		payload := raw[start:end]
-		if crc32.Checksum(payload, crcTable) != want {
-			return frames, off
-		}
-		frames = append(frames, payload)
-		off = end
-	}
-	return frames, off
-}
-
-func decodeFrame(payload []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
 // OpenStream opens (or creates) the stream directory for writing. An
@@ -197,53 +144,51 @@ func OpenStream(dir string, meta StreamMeta) (*StreamWriter, error) {
 	}
 	w := &StreamWriter{dir: dir, meta: meta, digest: meta.Digest()}
 	walPath := w.walPath()
-	raw, err := os.ReadFile(walPath)
-	switch {
-	case os.IsNotExist(err):
-		if err := w.rewriteWAL(nil); err != nil {
-			return nil, err
-		}
-	case err != nil:
+	wal, frames, err := framelog.Open(walPath, w.header(0))
+	if err != nil {
 		return nil, fmt.Errorf("dataset: stream: %w", err)
-	default:
-		frames, _ := parseFrames(raw)
-		if len(frames) == 0 {
-			return nil, fmt.Errorf("dataset: stream %s: WAL has no intact header", walPath)
-		}
-		var hdr streamHeader
-		if err := decodeFrame(frames[0], &hdr); err != nil {
-			return nil, fmt.Errorf("dataset: stream %s: header: %w", walPath, err)
-		}
-		if hdr.Version != streamVersion {
-			return nil, fmt.Errorf("dataset: stream %s: version %d, want %d", walPath, hdr.Version, streamVersion)
-		}
-		if hdr.Digest != w.digest {
-			return nil, fmt.Errorf("dataset: stream %s: identity mismatch (dir %s, want %s): refusing to mix streams", walPath, hdr.Digest[:12], w.digest[:12])
-		}
-		w.nextSeg = hdr.FirstSeg
-		w.total = hdr.FirstRun
-		for _, fr := range frames[1:] {
-			var run Run
-			if err := decodeFrame(fr, &run); err != nil {
-				return nil, fmt.Errorf("dataset: stream %s: run frame: %w", walPath, err)
-			}
-			w.open = append(w.open, &run)
-			w.total++
-		}
-		// Re-seal any window the WAL already completes (kill landed
-		// between segment write and compaction — or before the segment
-		// write at all). Sealing is idempotent: deterministic bytes,
-		// atomic rename.
-		if err := w.recoverSeals(); err != nil {
-			return nil, err
-		}
-		// Heal a torn tail, and fold in any recovery compaction, by
-		// rewriting the WAL to exactly header + open window.
-		if err := w.rewriteWAL(w.open); err != nil {
-			return nil, err
-		}
+	}
+	w.wal = wal
+	if err := w.replay(frames); err != nil {
+		w.Close()
+		return nil, fmt.Errorf("dataset: stream %s: %w", walPath, err)
 	}
 	return w, nil
+}
+
+// replay restores the writer's state from the WAL frames and seals any
+// window the WAL already completes (the kill landed between the segment
+// write and the compaction, or before the segment write at all). Sealing
+// is idempotent: deterministic bytes, atomic rename.
+func (w *StreamWriter) replay(frames [][]byte) error {
+	var hdr streamHeader
+	if err := framelog.Decode(frames[0], &hdr); err != nil {
+		return fmt.Errorf("header: %w", err)
+	}
+	if hdr.Version != streamVersion {
+		return fmt.Errorf("version %d, want %d", hdr.Version, streamVersion)
+	}
+	if hdr.Digest != w.digest {
+		return fmt.Errorf("identity mismatch (dir %.12s, want %.12s): refusing to mix streams", hdr.Digest, w.digest)
+	}
+	w.nextSeg = hdr.FirstSeg
+	w.total = hdr.FirstRun
+	for _, fr := range frames[1:] {
+		var run Run
+		if err := framelog.Decode(fr, &run); err != nil {
+			return fmt.Errorf("run frame: %w", err)
+		}
+		w.open = append(w.open, &run)
+		w.total++
+	}
+	if err := w.recoverSeals(); err != nil {
+		return err
+	}
+	if w.nextSeg != hdr.FirstSeg {
+		// Fold the recovery compaction into the WAL.
+		return w.rewriteWAL(w.open)
+	}
+	return nil
 }
 
 func (w *StreamWriter) walPath() string { return filepath.Join(w.dir, "wal.gob") }
@@ -266,51 +211,30 @@ func (w *StreamWriter) SealedSegments() int { return w.nextSeg }
 // OpenRuns returns the number of runs in the still-open window.
 func (w *StreamWriter) OpenRuns() int { return len(w.open) }
 
-// rewriteWAL atomically replaces the WAL with header + the given runs and
-// reopens it for appending.
-func (w *StreamWriter) rewriteWAL(runs []*Run) error {
-	if w.wal != nil {
-		w.wal.Close()
-		w.wal = nil
-	}
-	var buf bytes.Buffer
-	hdr := streamHeader{
+// header is the WAL header for a WAL holding the last openRuns runs.
+func (w *StreamWriter) header(openRuns int) streamHeader {
+	return streamHeader{
 		Version:  streamVersion,
 		Digest:   w.digest,
 		Meta:     w.meta,
 		FirstSeg: w.nextSeg,
-		FirstRun: w.total - int64(len(runs)),
+		FirstRun: w.total - int64(openRuns),
 	}
-	if err := appendFrame(&buf, hdr); err != nil {
-		return err
+}
+
+// rewriteWAL atomically replaces the WAL with header + the given runs and
+// keeps appending after them.
+func (w *StreamWriter) rewriteWAL(runs []*Run) error {
+	var buf bytes.Buffer
+	if err := framelog.Append(&buf, w.header(len(runs))); err != nil {
+		return fmt.Errorf("dataset: stream: %w", err)
 	}
 	for _, r := range runs {
-		if err := appendFrame(&buf, r); err != nil {
-			return err
+		if err := framelog.Append(&buf, r); err != nil {
+			return fmt.Errorf("dataset: stream: %w", err)
 		}
 	}
-	f, err := os.CreateTemp(w.dir, "wal.gob.tmp-*")
-	if err != nil {
-		return fmt.Errorf("dataset: stream: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(buf.Bytes()); err == nil {
-		err = f.Sync()
-	} else {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: stream: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: stream: %w", err)
-	}
-	if err := os.Rename(tmp, w.walPath()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: stream: %w", err)
-	}
-	w.wal, err = os.OpenFile(w.walPath(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if err := w.wal.Rewrite(buf.Bytes()); err != nil {
 		return fmt.Errorf("dataset: stream: %w", err)
 	}
 	return nil
@@ -339,14 +263,7 @@ func (w *StreamWriter) Append(run *Run) ([]*Segment, error) {
 		}
 		sealed = append(sealed, seg)
 	}
-	var buf bytes.Buffer
-	if err := appendFrame(&buf, run); err != nil {
-		return sealed, err
-	}
-	if _, err := w.wal.Write(buf.Bytes()); err != nil {
-		return sealed, fmt.Errorf("dataset: stream append: %w", err)
-	}
-	if err := w.wal.Sync(); err != nil {
+	if err := w.wal.Append(run); err != nil {
 		return sealed, fmt.Errorf("dataset: stream append: %w", err)
 	}
 	w.open = append(w.open, run)
@@ -434,33 +351,15 @@ func (w *StreamWriter) sealReplay() (*Segment, error) {
 	return seg, nil
 }
 
-// writeSegment persists seg atomically (temp + rename). Overwriting an
-// existing file is fine: segment content is deterministic, so a re-seal
-// writes identical bytes.
+// writeSegment persists seg atomically. Overwriting an existing file is
+// fine: segment content is deterministic, so a re-seal writes identical
+// bytes.
 func (w *StreamWriter) writeSegment(seg *Segment) error {
 	var buf bytes.Buffer
-	if err := appendFrame(&buf, seg); err != nil {
-		return err
-	}
-	dir := filepath.Join(w.dir, "segments")
-	f, err := os.CreateTemp(dir, "seg.tmp-*")
-	if err != nil {
+	if err := framelog.Append(&buf, seg); err != nil {
 		return fmt.Errorf("dataset: segment: %w", err)
 	}
-	tmp := f.Name()
-	if _, err := f.Write(buf.Bytes()); err == nil {
-		err = f.Sync()
-	} else {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: segment: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dataset: segment: %w", err)
-	}
-	if err := os.Rename(tmp, w.segPath(seg.Index)); err != nil {
-		os.Remove(tmp)
+	if err := framelog.WriteFileAtomic(w.segPath(seg.Index), buf.Bytes()); err != nil {
 		return fmt.Errorf("dataset: segment: %w", err)
 	}
 	telemetry.C(telemetry.MSegmentWriteBytes).Add(int64(buf.Len()))
@@ -476,16 +375,16 @@ func (w *StreamWriter) Segment(i int) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: segment: %w", err)
 	}
-	frames, _ := parseFrames(raw)
+	frames, _ := framelog.Parse(raw)
 	if len(frames) != 1 {
 		return nil, w.quarantine(path, fmt.Errorf("checksum failed (%d intact frames, want 1)", len(frames)))
 	}
 	var seg Segment
-	if err := decodeFrame(frames[0], &seg); err != nil {
+	if err := framelog.Decode(frames[0], &seg); err != nil {
 		return nil, w.quarantine(path, err)
 	}
 	if seg.Digest != w.digest {
-		return nil, fmt.Errorf("dataset: segment %s belongs to stream %s, want %s", path, seg.Digest[:12], w.digest[:12])
+		return nil, fmt.Errorf("dataset: segment %s belongs to stream %.12s, want %.12s", path, seg.Digest, w.digest)
 	}
 	if seg.Index != i {
 		return nil, fmt.Errorf("dataset: segment %s carries index %d, want %d", path, seg.Index, i)

@@ -2,12 +2,15 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"dragonvar/internal/counters"
+	"dragonvar/internal/framelog"
 )
 
 // streamRun builds one valid run for the named dataset. Runs of one
@@ -121,52 +124,93 @@ func TestStreamSealReopenRoundTrip(t *testing.T) {
 
 func TestStreamIdentityRefused(t *testing.T) {
 	dir := t.TempDir()
-	if w, err := OpenStream(dir, streamMetaForTest(4, 0)); err != nil {
-		t.Fatal(err)
-	} else {
-		w.Close()
-	}
-	other := streamMetaForTest(8, 0) // different window bound = different stream
-	if _, err := OpenStream(dir, other); err == nil {
-		t.Fatal("reopening with a different identity succeeded, want refusal")
-	}
-}
-
-func TestStreamWALTornTailHealed(t *testing.T) {
-	dir := t.TempDir()
 	meta := streamMetaForTest(4, 0)
 	w, err := OpenStream(dir, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range runSeq(3) {
-		if _, err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
+	other := streamMetaForTest(8, 0) // different window bound = different stream
+	if _, err := OpenStream(dir, other); err == nil {
+		t.Fatal("reopening with a different identity succeeded, want refusal")
+	}
+
+	// Intact frames that carry a foreign digest shorter than the 12
+	// characters an error message shows are refused, not quarantined.
+	var seg bytes.Buffer
+	if err := framelog.Append(&seg, Segment{Digest: "short"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "segments", "seg-000000.gob"), seg.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cerr *CorruptSegmentError
+	if _, err := w.Segment(0); err == nil || errors.As(err, &cerr) {
+		t.Fatalf("Segment(0) with a foreign digest = %v, want an identity refusal", err)
 	}
 	w.Close()
 
-	// A crash mid-append leaves a torn frame at the WAL tail; the reopen
-	// must keep the intact prefix and drop the tail.
-	wal := filepath.Join(dir, "wal.gob")
-	raw, err := os.ReadFile(wal)
-	if err != nil {
+	var wal bytes.Buffer
+	if err := framelog.Append(&wal, streamHeader{Version: streamVersion, Digest: "short", Meta: meta}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(wal, raw[:len(raw)-3], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "wal.gob"), wal.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err = OpenStream(dir, meta)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := OpenStream(dir, meta); err == nil {
+		t.Fatal("opening a WAL with a foreign digest succeeded, want refusal")
 	}
-	defer w.Close()
-	if w.TotalRuns() != 2 || w.OpenRuns() != 2 {
-		t.Fatalf("after torn tail: total=%d open=%d, want 2/2", w.TotalRuns(), w.OpenRuns())
-	}
-	// And the stream keeps working from the healed state.
-	if _, err := w.Append(streamRun("A-128", 2, 2000, 6)); err != nil {
-		t.Fatal(err)
+}
+
+// corruptLength is a frame header whose uvarint length prefix is 2^64-3,
+// so adding the header size to it wraps around.
+var corruptLength = append(binary.AppendUvarint(nil, math.MaxUint64-2), 0, 0, 0, 0)
+
+func TestStreamWALTornTailHealed(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(raw []byte) []byte
+		runs   int64 // runs that survive the heal
+	}{
+		{"truncated", func(raw []byte) []byte { return raw[:len(raw)-3] }, 2},
+		{"corrupt length", func(raw []byte) []byte { return append(raw, corruptLength...) }, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			meta := streamMetaForTest(4, 0)
+			w, err := OpenStream(dir, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range runSeq(3) {
+				if _, err := w.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Close()
+
+			// A crash mid-append leaves a torn frame at the WAL tail; the
+			// reopen must keep the intact prefix and drop the tail.
+			wal := filepath.Join(dir, "wal.gob")
+			raw, err := os.ReadFile(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(wal, tc.damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, err = OpenStream(dir, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if w.TotalRuns() != tc.runs || w.OpenRuns() != int(tc.runs) {
+				t.Fatalf("after torn tail: total=%d open=%d, want %d/%d", w.TotalRuns(), w.OpenRuns(), tc.runs, tc.runs)
+			}
+			// And the stream keeps working from the healed state.
+			if _, err := w.Append(streamRun("A-128", 2, 2000, 6)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -188,7 +232,7 @@ func TestStreamRecoverSealsOnReopen(t *testing.T) {
 	// Simulate a crash after the WAL append of the window-completing run
 	// but before the seal: hand-append the third run's frame.
 	var buf bytes.Buffer
-	if err := appendFrame(&buf, runs[2]); err != nil {
+	if err := framelog.Append(&buf, runs[2]); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, "wal.gob"), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -245,41 +289,50 @@ func TestStreamWindowSpanSeal(t *testing.T) {
 }
 
 func TestStreamCorruptSegmentQuarantine(t *testing.T) {
-	dir := t.TempDir()
-	meta := streamMetaForTest(3, 0)
-	w, err := OpenStream(dir, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for _, r := range runSeq(3) {
-		if _, err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segPath := filepath.Join(dir, "segments", "seg-000000.gob")
-	raw, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(segPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		damage func(raw []byte) []byte
+	}{
+		{"flipped byte", func(raw []byte) []byte { raw[len(raw)/2] ^= 0xff; return raw }},
+		{"corrupt length", func([]byte) []byte { return corruptLength }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			meta := streamMetaForTest(3, 0)
+			w, err := OpenStream(dir, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			for _, r := range runSeq(3) {
+				if _, err := w.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			segPath := filepath.Join(dir, "segments", "seg-000000.gob")
+			raw, err := os.ReadFile(segPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(segPath, tc.damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	_, err = w.Segment(0)
-	var cerr *CorruptSegmentError
-	if !errors.As(err, &cerr) {
-		t.Fatalf("Segment(0) = %v, want CorruptSegmentError", err)
-	}
-	if !cerr.Quarantined {
-		t.Fatalf("segment not quarantined: %v", cerr)
-	}
-	if _, err := os.Stat(segPath + ".corrupt"); err != nil {
-		t.Fatalf("quarantine file missing: %v", err)
-	}
-	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
-		t.Fatalf("corrupt segment still in place: %v", err)
+			_, err = w.Segment(0)
+			var cerr *CorruptSegmentError
+			if !errors.As(err, &cerr) {
+				t.Fatalf("Segment(0) = %v, want CorruptSegmentError", err)
+			}
+			if !cerr.Quarantined {
+				t.Fatalf("segment not quarantined: %v", cerr)
+			}
+			if _, err := os.Stat(segPath + ".corrupt"); err != nil {
+				t.Fatalf("quarantine file missing: %v", err)
+			}
+			if _, err := os.Stat(segPath); !os.IsNotExist(err) {
+				t.Fatalf("corrupt segment still in place: %v", err)
+			}
+		})
 	}
 }
 

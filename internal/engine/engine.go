@@ -8,9 +8,6 @@
 //   - ordered result merge (MapOrdered): results land in shard order no
 //     matter which worker finished first, so floating-point reductions are
 //     identical at every worker count,
-//   - per-shard splittable RNG streams (MapSeeded/Shards, reusing
-//     internal/rng): each shard derives its stream from the root seed and
-//     its own index, never from execution order,
 //   - first-error propagation: the first failing shard cancels the rest,
 //     and the reported error is the one with the lowest shard index so
 //     error output is reproducible too.
@@ -23,7 +20,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -31,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dragonvar/internal/rng"
 	"dragonvar/internal/telemetry"
 )
 
@@ -195,24 +190,4 @@ func MapOrdered[T any](ctx context.Context, workers, n int, fn func(ctx context.
 		return nil
 	})
 	return out, err
-}
-
-// Shards derives n independent RNG streams from root: shard i gets
-// root.Split("label-i"). Splitting depends only on the root's seed material
-// and the label (never on how much of the parent was consumed), so the
-// streams are identical at every worker count and shard order.
-func Shards(root *rng.Stream, label string, n int) []*rng.Stream {
-	out := make([]*rng.Stream, n)
-	for i := range out {
-		out[i] = root.Split(fmt.Sprintf("%s-%d", label, i))
-	}
-	return out
-}
-
-// MapSeeded is Map with a per-shard stream derived as in Shards. The shard
-// function owns its stream exclusively; the root is only read.
-func MapSeeded(ctx context.Context, workers, n int, root *rng.Stream, label string, fn func(ctx context.Context, shard int, s *rng.Stream) error) error {
-	return Map(ctx, workers, n, func(ctx context.Context, _, i int) error {
-		return fn(ctx, i, root.Split(fmt.Sprintf("%s-%d", label, i)))
-	})
 }

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"dragonvar/internal/advisor"
+	"dragonvar/internal/framelog"
 	"dragonvar/internal/gbr"
 	"dragonvar/internal/nn"
 )
@@ -183,33 +184,13 @@ func validName(name string) bool {
 	return true
 }
 
-// writeAtomic writes data to path via a temp file + rename in the target
-// directory, so a crash or full disk never leaves a truncated object or
-// ref behind.
+// writeAtomic creates path's directory and writes data atomically, so a
+// crash or full disk never leaves a truncated object or ref behind.
 func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return framelog.WriteFileAtomic(path, data)
 }
 
 // objectPath maps an id to its object file.
